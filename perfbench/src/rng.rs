@@ -1,0 +1,29 @@
+//! SplitMix64: the seeded input generator. The same `--seed` gives the
+//! same transactions and arrival schedule on every host.
+
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`; the modulo bias is below 2^-40 for
+    /// the sizes used here).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// Uniform in `(0, 1]`.
+    pub fn unit(&mut self) -> f64 {
+        ((self.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64
+    }
+}
