@@ -85,7 +85,6 @@ fn record_engine(args: &[String]) -> i32 {
     let txns: u64 = flag_value(args, "--txns").and_then(|s| s.parse().ok()).unwrap_or(5);
     let ((), trace) = mcv_trace::record_trace(None, || {
         let engine = Engine::new(EngineConfig {
-            group_commit: true,
             force_latency_us: 200,
             group_window_us: 20,
             ..Default::default()

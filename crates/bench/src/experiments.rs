@@ -711,7 +711,6 @@ pub fn exp_tput() -> String {
         let report = run_driver(&DriverConfig {
             engine: EngineConfig {
                 shards: 16,
-                group_commit: true,
                 force_latency_us: 300,
                 group_window_us: 50,
                 ..Default::default()
@@ -748,15 +747,16 @@ pub fn exp_tput() -> String {
 }
 
 /// exp.gc — what group commit buys: force amortization and throughput
-/// against a force-per-commit baseline, plus forces/commit vs workers.
+/// of 4 concurrent committers against a lone committer, which leads
+/// every force itself and so forces once per commit by construction,
+/// plus forces/commit vs workers.
 ///
 /// Wall-clock numbers; scheduling-dependent like [`exp_tput`].
 pub fn exp_gc() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
-    let base = |workers: usize, group: bool| DriverConfig {
+    let base = |workers: usize| DriverConfig {
         engine: EngineConfig {
             shards: 16,
-            group_commit: group,
             force_latency_us: 300,
             group_window_us: 50,
             ..Default::default()
@@ -768,13 +768,13 @@ pub fn exp_gc() -> String {
         seed: 777,
     };
     let mut out = String::from(
-        "exp.gc — group commit vs force-per-commit (4 workers, 300 us force)\n\n  \
-         mode             txn/s  forces  commits  forces/commit   p95us  oracles\n",
+        "exp.gc — group commit: 4 workers vs a lone committer (300 us force)\n\n  \
+         mode                     txn/s  forces  commits  forces/commit   p95us  oracles\n",
     );
-    for (label, group) in [("per-commit", false), ("group-commit", true)] {
-        let report = run_driver(&base(4, group));
+    for (label, workers) in [("1 worker (per-commit)", 1), ("4 workers (group)", 4)] {
+        let report = run_driver(&base(workers));
         out.push_str(&format!(
-            "  {:<12} {:>9.0} {:>7} {:>8} {:>14.3} {:>7}  {}\n",
+            "  {:<21} {:>9.0} {:>7} {:>8} {:>14.3} {:>7}  {}\n",
             label,
             report.throughput_tps(),
             report.forces,
@@ -785,9 +785,9 @@ pub fn exp_gc() -> String {
         ));
         mcv_obs::absorb(&report.metrics);
     }
-    out.push_str("\n  batching vs concurrency (group commit on):\n  workers  forces/commit\n");
+    out.push_str("\n  batching vs concurrency:\n  workers  forces/commit\n");
     for workers in [1usize, 2, 4, 8] {
-        let report = run_driver(&base(workers, true));
+        let report = run_driver(&base(workers));
         out.push_str(&format!(
             "  {:>7} {:>14.3}\n",
             workers,
@@ -795,9 +795,10 @@ pub fn exp_gc() -> String {
         ));
     }
     out.push_str(
-        "\nthe force-per-commit baseline pays one device operation per transaction;\n\
-         group commit lets every commit that arrives during an in-flight force ride\n\
-         the next batch, so forces/commit falls as concurrency rises.\n",
+        "\na lone committer leads every force itself: one device operation per\n\
+         transaction. With concurrent committers, every commit that arrives during\n\
+         an in-flight force rides the next one, so forces/commit falls as\n\
+         concurrency rises.\n",
     );
     out
 }
@@ -1003,7 +1004,6 @@ pub fn exp_mvcc() -> String {
     let cfg = |isolation: IsolationLevel, workers: usize| DriverConfig {
         engine: EngineConfig {
             shards: 16,
-            group_commit: true,
             // Keep the modeled device fast: the MVCC commit critical
             // section serializes committers across the WAL force, so a
             // slow device would measure the force, not the read paths
@@ -1077,9 +1077,9 @@ pub fn exp_mvcc() -> String {
 /// - `wall.slo.p99_us.*` and `wall.slo.recovery_ms.*` carry the raw
 ///   latencies for the lower-is-better 3x bands.
 ///
-/// The engine is deliberately throttled (no group commit, 2 ms modeled
-/// force) so the knee sits near a few thousand txn/s: the sweep and
-/// the 2x-overload leg stay cheap and saturation is reachable on any
+/// The engine is deliberately throttled (2 ms modeled force, queue cap
+/// 16) so the knee sits near a thousand txn/s: the sweep and the
+/// 2x-overload leg stay cheap and saturation is reachable on any
 /// machine.
 pub fn exp_slo() -> String {
     use mcv_load::{
@@ -1094,11 +1094,7 @@ pub fn exp_slo() -> String {
             session_theta: 0.8,
             seed: 31,
         },
-        engine: mcv_engine::EngineConfig {
-            group_commit: false,
-            force_latency_us: 2_000,
-            ..Default::default()
-        },
+        engine: mcv_engine::EngineConfig { force_latency_us: 2_000, ..Default::default() },
         // The queue must be shorter than the deadline: at ~2 ms of
         // service per queued write txn, 16 slots bound queueing delay
         // near 32 ms against the 100 ms budget. A deeper queue is
@@ -1110,7 +1106,7 @@ pub fn exp_slo() -> String {
     let rates = [250.0, 500.0, 1_000.0, 2_000.0, 4_000.0];
     let mut out = String::from(
         "exp.slo — latency under open-loop load, overload shedding, and recovery SLO\n\
-         (1 throttled engine: no group commit, 2 ms force; 4 workers, queue cap 16,\n\
+         (1 throttled engine: 2 ms force; 4 workers, queue cap 16,\n\
          retry-after shedding, 100 ms deadline from arrival)\n\n  \
          offered-tps  goodput-tps    shed   p50us   p99us  p999us  oracles\n",
     );
@@ -1234,7 +1230,6 @@ pub fn exp_prof() -> String {
     let tput_cfg = || DriverConfig {
         engine: EngineConfig {
             shards: 16,
-            group_commit: true,
             force_latency_us: 300,
             group_window_us: 50,
             ..Default::default()

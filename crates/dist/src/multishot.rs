@@ -17,10 +17,10 @@
 //!   submitted while a link's batch head is still in flight ride along
 //!   at the head's delivery instant, so concurrent transactions share
 //!   hop delays instead of queuing behind FIFO clamps;
-//! - shard stores run in **pipelined mode**
-//!   ([`EngineStore::pipelined`]): commit records are staged and each
-//!   delivery batch pays one WAL force for all of them
-//!   (`engine.wal.forces` collapses below `engine.wal.commits`), with
+//! - as in the serial runtime, shard stores ([`EngineStore`]) stage
+//!   commit records and each delivery batch pays one WAL force for all
+//!   of them — here a batch carries many transactions, so
+//!   `engine.wal.forces` collapses below `engine.wal.commits` — with
 //!   acknowledgements still held until the force completes;
 //! - the run ends on **quiescence** (every submitted transaction
 //!   decided everywhere, plus a quiet tail), not on a horizon — a
@@ -127,10 +127,9 @@ impl PipelineOutcome {
 ///
 /// The assembly mirrors [`run_dist`](crate::run_dist) — node 0
 /// coordinates, nodes `1..=n_shards` each own a live [`Engine`] —
-/// with three differences: shard stores are pipelined
-/// ([`EngineStore::pipelined`]), the network runs with the configured
-/// batching window, and plans arrive through the submission pump
-/// rather than the coordinator's start-time plan list.
+/// with two differences: the network runs with the configured batching
+/// window, and plans arrive through the submission pump rather than the
+/// coordinator's start-time plan list.
 pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     let _span = mcv_obs::Span::enter("dist.pipeline");
     let d = &cfg.dist;
@@ -208,7 +207,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             .name(format!("dist-node-{node}"))
             .spawn(move || {
                 mcv_trace::with_recorder(rec, || match engine {
-                    Some(e) => run_node(seat, Site::with_store(scfg, EngineStore::pipelined(e))),
+                    Some(e) => run_node(seat, Site::with_store(scfg, EngineStore::new(e))),
                     None => run_node(seat, Site::with_store(scfg, CoordStore)),
                 })
             })

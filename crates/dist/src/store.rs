@@ -3,9 +3,11 @@
 //!
 //! - [`EngineStore`] wires a shard's `Site` to a live [`mcv_engine::Engine`]:
 //!   the FSM's begin/write/commit/abort land on real 2PL locks and the
-//!   shard's group-commit WAL, so a global commit is only acknowledged
-//!   after the shard's log force (the engine's commit path blocks on
-//!   the force and cites it in the causal trace).
+//!   shard's group-commit WAL. Commits are staged and made durable by
+//!   one group force at [`LocalStore::flush`], which the node loop
+//!   calls before any send of the callback leaves — so a global commit
+//!   is only acknowledged after the shard's log force (the engine cites
+//!   the force in the causal trace).
 //! - [`CoordStore`] is the coordinator's stand-in: node 0 owns no data
 //!   shard, so its local work is vacuous.
 //!
@@ -34,38 +36,17 @@ pub struct EngineStore {
     /// Writes the engine refused (deadlock victim): the site must vote
     /// no and the handle must not be committed later.
     poisoned: BTreeMap<TxnId, bool>,
-    /// Pipelined mode: commits are staged (record appended, locks
-    /// held, durability deferred) and forced in one batch at
-    /// [`LocalStore::flush`] — the participant half of the multi-shot
+    /// Commits staged since the last flush (record appended, locks
+    /// held, durability deferred) — forced in one batch at
+    /// [`LocalStore::flush`], the participant half of the multi-shot
     /// force amortization.
-    pipelined: bool,
     staged: Vec<StagedCommit>,
 }
 
 impl EngineStore {
-    /// Wraps a shard engine (serial mode: every commit forces and
-    /// waits inline).
+    /// Wraps a shard engine.
     pub fn new(engine: Engine) -> Self {
-        EngineStore {
-            engine,
-            open: BTreeMap::new(),
-            poisoned: BTreeMap::new(),
-            pipelined: false,
-            staged: Vec::new(),
-        }
-    }
-
-    /// Wraps a shard engine in pipelined mode: commits stage their log
-    /// records and the node loop's per-batch `flush` pays one
-    /// durability wait for all of them.
-    pub fn pipelined(engine: Engine) -> Self {
-        EngineStore {
-            engine,
-            open: BTreeMap::new(),
-            poisoned: BTreeMap::new(),
-            pipelined: true,
-            staged: Vec::new(),
-        }
+        EngineStore { engine, open: BTreeMap::new(), poisoned: BTreeMap::new(), staged: Vec::new() }
     }
 
     /// The wrapped engine (cheap clone of the shared handle).
@@ -97,13 +78,8 @@ impl LocalStore for EngineStore {
             return Err(());
         }
         let Some(t) = self.open.remove(&txn) else { return Err(()) };
-        if self.pipelined {
-            let staged = t.commit_stage().map_err(|_| ())?;
-            self.staged.push(staged);
-            Ok(())
-        } else {
-            t.commit().map_err(|_| ())
-        }
+        self.staged.push(t.commit_stage().map_err(|_| ())?);
+        Ok(())
     }
 
     fn abort(&mut self, txn: TxnId) -> Result<(), ()> {
@@ -118,12 +94,8 @@ impl LocalStore for EngineStore {
         // no-op.
         if let Some(t) = self.open.remove(&txn) {
             if commit && !self.poisoned.contains_key(&txn) {
-                if self.pipelined {
-                    if let Ok(staged) = t.commit_stage() {
-                        self.staged.push(staged);
-                    }
-                } else {
-                    let _ = t.commit();
+                if let Ok(staged) = t.commit_stage() {
+                    self.staged.push(staged);
                 }
             } else {
                 t.abort();
@@ -185,8 +157,10 @@ mod tests {
         s.begin(t);
         s.write(t, "X", 7).unwrap();
         s.commit(t).unwrap();
+        s.flush();
         assert_eq!(engine.value("X"), 7);
-        assert!(engine.committed_ids().contains(&t));
+        let durable = mcv_txn::Wal::from_bytes_lossy(&engine.durable_image());
+        assert!(durable.committed().contains(&t));
     }
 
     #[test]
@@ -200,6 +174,7 @@ mod tests {
         s.recover();
         // The prepared work survived; a post-recovery decision lands.
         s.resolve(t, true);
+        s.flush();
         assert_eq!(engine.value("Y"), 3);
     }
 
@@ -218,7 +193,7 @@ mod tests {
     #[test]
     fn pipelined_store_defers_durability_until_flush() {
         let engine = Engine::new(EngineConfig { force_latency_us: 0, ..Default::default() });
-        let mut s = EngineStore::pipelined(engine.clone());
+        let mut s = EngineStore::new(engine.clone());
         for (i, item) in ["A", "B", "C"].iter().enumerate() {
             let t = TxnId(1_000_010 + i as u64);
             s.begin(t);

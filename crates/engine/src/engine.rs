@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Engine construction parameters.
@@ -24,17 +23,13 @@ use std::time::{Duration, Instant};
 pub struct EngineConfig {
     /// Number of lock-table / data shards.
     pub shards: usize,
-    /// Batch commit-record forces through a dedicated log-writer
-    /// thread (`true`) or force once per commit (`false`).
-    pub group_commit: bool,
     /// Modeled device latency of one log force, in microseconds. The
     /// engine sleeps this long per device operation, which is what
     /// group commit amortizes; 0 disables the sleep (unit tests).
     pub force_latency_us: u64,
-    /// Group-commit dwell: after the first force request of a batch,
-    /// the log writer waits this long before serializing so commits a
-    /// few microseconds behind join the batch. Only meaningful with
-    /// `group_commit` and a non-zero `force_latency_us`.
+    /// Group-commit dwell: the committer that leads a force waits this
+    /// long before serializing so commits a few microseconds behind
+    /// join the batch. Ignored when `force_latency_us` is 0.
     pub group_window_us: u64,
     /// Sample every `n`-th transaction into the history fed to the
     /// conflict-serializability oracle (0 disables sampling).
@@ -54,7 +49,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             shards: 16,
-            group_commit: true,
             force_latency_us: 0,
             group_window_us: 0,
             sample_every: 1,
@@ -133,8 +127,7 @@ pub(crate) struct Inner {
     cfg: EngineConfig,
     shards: Vec<Shard>,
     graph: WaitGraph,
-    wal: Arc<GroupWal>,
-    writer: Mutex<Option<JoinHandle<()>>>,
+    wal: GroupWal,
     next_txn: AtomicU64,
     sampler: Mutex<Sampler>,
     counters: EngineCounters,
@@ -171,24 +164,17 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine and, in group-commit mode, starts its
-    /// log-writer thread.
+    /// Builds an engine. It owns no threads: committers force the log
+    /// themselves (see [`Txn::commit`]).
     pub fn new(cfg: EngineConfig) -> Engine {
         assert!(cfg.shards > 0, "engine needs at least one shard");
         let trace = mcv_trace::installed();
         let prof = mcv_prof::installed();
-        let wal = Arc::new(GroupWal::new(
-            cfg.group_commit,
+        let wal = GroupWal::new(
             Duration::from_micros(cfg.force_latency_us),
             Duration::from_micros(cfg.group_window_us),
             trace.clone(),
-        ));
-        let writer = if cfg.group_commit {
-            let wal = Arc::clone(&wal);
-            Some(std::thread::spawn(move || wal.writer_loop()))
-        } else {
-            None
-        };
+        );
         let shards = (0..cfg.shards).map(|_| Shard::default()).collect();
         let mvcc = MvccStore::new(cfg.shards);
         Engine {
@@ -197,7 +183,6 @@ impl Engine {
                 shards,
                 graph: WaitGraph::default(),
                 wal,
-                writer: Mutex::new(writer),
                 next_txn: AtomicU64::new(1),
                 sampler: Mutex::new(Sampler::default()),
                 counters: EngineCounters::default(),
@@ -273,25 +258,24 @@ impl Engine {
     }
 
     /// Completes a batch of staged commits against this engine: one
-    /// durability wait covering the batch's highest LSN, then per
-    /// transaction the commit acknowledgement (trace event citing the
-    /// covering force), lock release, and counters. The whole batch
-    /// shares a single modeled device force where the serial path pays
-    /// one per transaction.
+    /// durability wait covering the batch's highest LSN (a group force
+    /// this caller leads or follows), then per transaction the commit
+    /// acknowledgement (trace event citing the covering force), lock
+    /// release, and counters. [`Txn::commit`] is a batch of one; a
+    /// `mcv-dist` shard finishes every commit of a delivery batch here
+    /// at once.
     ///
     /// Every staged commit must come from this engine; staged commits
     /// from MVCC fallbacks (lsn 0) are already durable and only tally.
     pub fn finish_commits(&self, batch: Vec<StagedCommit>) {
         let Some(max_lsn) = batch.iter().map(|s| s.lsn).max() else { return };
-        let wait0 = Instant::now();
-        if max_lsn > 0 {
-            self.inner.wal.wait_durable(max_lsn);
-        }
-        let wait_ns = wait0.elapsed().as_nanos() as u64;
+        let (dwell_ns, force_ns) =
+            if max_lsn > 0 { self.inner.wal.wait_durable(max_lsn) } else { (0, 0) };
         for mut s in batch {
             if s.lsn == 0 {
                 continue; // MVCC fallback: committed in full already.
             }
+            let ack0 = s.prof.as_ref().map(|_| Instant::now());
             if let Some(t) = &self.inner.trace {
                 // The ack was enabled by the device force covering our
                 // commit record; the `wal.force` mark is published
@@ -302,13 +286,15 @@ impl Engine {
             }
             self.release_locks(s.id, &s.touched, s.ever_blocked);
             self.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
-            if let Some(state) = s.prof.take() {
-                if let Some(profiler) = &self.inner.prof {
-                    let mut tl = state.timeline;
-                    tl.add(Phase::WalForce, wait_ns);
-                    tl.total_ns = state.begin.elapsed().as_nanos() as u64;
-                    profiler.record(&tl);
-                }
+            if let (Some(state), Some(profiler), Some(ack0)) =
+                (s.prof.take(), &self.inner.prof, ack0)
+            {
+                let mut tl = state.timeline;
+                tl.add(Phase::WalDwell, dwell_ns);
+                tl.add(Phase::WalForce, force_ns);
+                tl.add(Phase::CommitAck, ack0.elapsed().as_nanos() as u64);
+                tl.total_ns = state.begin.elapsed().as_nanos() as u64;
+                profiler.record(&tl);
             }
         }
     }
@@ -538,15 +524,6 @@ impl Engine {
     }
 }
 
-impl Drop for Inner {
-    fn drop(&mut self) {
-        self.wal.shutdown();
-        if let Some(writer) = self.writer.lock().expect("writer mutex").take() {
-            let _ = writer.join();
-        }
-    }
-}
-
 /// A transaction handle. Dropped without [`Txn::commit`] ⇒ aborts
 /// (undo images restored, locks released).
 #[derive(Debug)]
@@ -587,9 +564,10 @@ struct ProfState {
 /// A commit whose record is appended but not yet durable: the staged
 /// half of a two-step commit ([`Txn::commit_stage`] →
 /// [`Engine::finish_commits`]). Holding one keeps the transaction's
-/// locks; dropping it without finishing leaks nothing but the locks
-/// stay held until finished, so callers must always hand staged
-/// commits to [`Engine::finish_commits`].
+/// locks. A stage dropped without [`Engine::finish_commits`] holds
+/// those locks forever and is never acknowledged, so every stage must
+/// be finished.
+#[must_use = "a staged commit holds its locks until passed to Engine::finish_commits"]
 #[derive(Debug)]
 pub struct StagedCommit {
     id: TxnId,
@@ -703,55 +681,34 @@ impl Txn {
         Ok(())
     }
 
-    /// Commits: forces the commit record (batched under group commit),
-    /// then releases all locks. Returns only after the commit record
-    /// is durable.
+    /// Commits: appends the commit record, waits until a group force
+    /// covers it (leading that force if none is in flight), then
+    /// acknowledges and releases all locks — [`Txn::commit_stage`]
+    /// followed by [`Engine::finish_commits`] on the one stage. Returns
+    /// only after the commit record is durable.
     ///
     /// Under the MVCC levels commit additionally certifies the write
     /// set (SI/SSI, first-committer-wins) and the read set (SSI), and
     /// installs the buffered writes as versions at one fresh commit
     /// timestamp; a certification failure aborts the transaction and
     /// returns [`EngineError::Certification`].
-    pub fn commit(mut self) -> Result<(), EngineError> {
-        self.check_active()?;
-        if self.engine.inner.cfg.isolation.is_mvcc() {
-            return self.mvcc_commit();
-        }
-        if self.prof.is_some() {
-            let (dwell_ns, force_ns) = self.engine.inner.wal.append_commit_and_wait_timed(self.id);
-            self.prof_add_ns(Phase::WalDwell, dwell_ns);
-            self.prof_add_ns(Phase::WalForce, force_ns);
-        } else {
-            self.engine.inner.wal.append_commit_and_wait(self.id);
-        }
-        let ack0 = self.prof_now();
-        if let Some(t) = &self.engine.inner.trace {
-            // The ack was enabled by the device force covering our
-            // commit record; the `wal.force` mark is published before
-            // the durable cursor advances, so it is in place by the
-            // time the wait above returns.
-            let cause = t.mark(self.engine.inner.wal.force_mark());
-            t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: self.id.0 });
-        }
-        self.engine.release_locks(self.id, &self.touched, self.ever_blocked);
-        self.engine.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
-        self.prof_add(Phase::CommitAck, ack0);
-        self.prof_flush();
-        self.active = false;
+    pub fn commit(self) -> Result<(), EngineError> {
+        let engine = self.engine.clone();
+        engine.finish_commits(vec![self.commit_stage()?]);
         Ok(())
     }
 
     /// Stages a commit without waiting for durability: appends the
     /// commit record and returns a [`StagedCommit`] that still holds
-    /// the transaction's locks. A batch of staged commits then pays
-    /// **one** durability wait in [`Engine::finish_commits`] — the
-    /// participant-side force batching of the multi-shot commit path
-    /// (`mcv-dist`), where one modeled device force amortizes over
+    /// the transaction's locks until [`Engine::finish_commits`]. A
+    /// batch of staged commits pays **one** durability wait there —
+    /// the participant-side force batching of the multi-shot commit
+    /// path (`mcv-dist`), where one modeled device force amortizes over
     /// every transaction delivered in the same transport batch.
     ///
-    /// Only meaningful under 2PL; the MVCC levels have their own
-    /// commit critical section and fall back to a full [`Txn::commit`]
-    /// (the returned stage is already finished and waits on nothing).
+    /// Under the MVCC levels, which have their own commit critical
+    /// section, this is a full commit and the returned stage is
+    /// already finished (it waits on nothing).
     pub fn commit_stage(mut self) -> Result<StagedCommit, EngineError> {
         self.check_active()?;
         if self.engine.inner.cfg.isolation.is_mvcc() {
@@ -853,13 +810,10 @@ impl Txn {
             inner.shards[s].state.lock().expect("shard mutex").set(item, *value);
         }
         self.prof_add(Phase::Execute, exec0);
-        if self.prof.is_some() {
-            let (dwell_ns, force_ns) = inner.wal.append_commit_and_wait_timed(self.id);
-            self.prof_add_ns(Phase::WalDwell, dwell_ns);
-            self.prof_add_ns(Phase::WalForce, force_ns);
-        } else {
-            inner.wal.append_commit_and_wait(self.id);
-        }
+        let lsn = inner.wal.append_commit(self.id);
+        let (dwell_ns, force_ns) = inner.wal.wait_durable(lsn);
+        self.prof_add_ns(Phase::WalDwell, dwell_ns);
+        self.prof_add_ns(Phase::WalForce, force_ns);
         let ack0 = self.prof_now();
         // Versions install only after the commit record is durable, so
         // even ReadCommitted (which reads chain heads) never observes
@@ -1034,7 +988,7 @@ mod tests {
 
     #[test]
     fn single_transaction_commit_is_durable() {
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         let mut t = engine.begin();
         t.write("X", 42).expect("write");
         t.commit().expect("commit");
@@ -1044,7 +998,7 @@ mod tests {
 
     #[test]
     fn abort_restores_before_image_and_leaves_no_durable_commit() {
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         let mut t = engine.begin();
         t.write("X", 1).expect("write");
         t.commit().expect("commit");
@@ -1058,7 +1012,7 @@ mod tests {
 
     #[test]
     fn drop_without_commit_aborts() {
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         {
             let mut t = engine.begin();
             t.write("X", 5).expect("write");
@@ -1072,7 +1026,7 @@ mod tests {
         // 4 threads × 25 read-modify-write increments on one item:
         // strict 2PL must serialize them, so the final value is exactly
         // the number of committed increments.
-        let engine = Engine::new(EngineConfig { group_commit: true, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let engine = engine.clone();
@@ -1104,7 +1058,7 @@ mod tests {
     #[test]
     fn two_thread_deadlock_is_broken_and_youngest_dies() {
         use std::sync::Barrier;
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         let barrier = Arc::new(Barrier::new(2));
         let mut handles = Vec::new();
         for order in 0..2u8 {
@@ -1144,17 +1098,31 @@ mod tests {
 
     #[test]
     fn traced_engine_run_passes_hb_check_and_commits_cite_forces() {
+        // A shared counter serializes the commits on its lock (so the
+        // trace carries release → acquire edges). With per-worker
+        // counters and 100 us per force, commits overlap and followers
+        // really wait on a leader's force.
+        for (cfg, shared) in [
+            (EngineConfig::default(), true),
+            (EngineConfig { force_latency_us: 100, ..Default::default() }, false),
+        ] {
+            traced_run_passes_hb_check_and_commits_cite_forces(cfg, shared);
+        }
+    }
+
+    fn traced_run_passes_hb_check_and_commits_cite_forces(cfg: EngineConfig, shared: bool) {
         let ((), trace) = mcv_trace::record_trace(None, || {
-            let engine = Engine::new(EngineConfig { group_commit: true, ..Default::default() });
+            let engine = Engine::new(cfg);
             let threads: Vec<_> = (0..2)
                 .map(|w| {
                     let engine = engine.clone();
                     std::thread::spawn(move || {
+                        let ctr = if shared { "ctr".to_owned() } else { format!("ctr{w}") };
                         for i in 0..5 {
                             let mut t = engine.begin();
                             let r = t
-                                .read("ctr")
-                                .and_then(|v| t.write("ctr", v + 1))
+                                .read(&ctr)
+                                .and_then(|v| t.write(&ctr, v + 1))
                                 .and_then(|()| t.write(&format!("w{w}.{i}"), i));
                             match r {
                                 Ok(()) => t.commit().expect("commit"),
@@ -1193,7 +1161,7 @@ mod tests {
 
     #[test]
     fn sampled_history_reflects_committed_ops_only() {
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(EngineConfig::default());
         let mut a = engine.begin();
         a.write("X", 1).expect("write");
         a.commit().expect("commit");

@@ -1,70 +1,62 @@
-//! Group-commit write-ahead logging.
+//! Group-commit write-ahead logging, leader/follower style.
 //!
 //! Wraps [`mcv_txn::ForcedWal`] behind a mutex and models the force as
-//! a device operation with configurable latency. In group-commit mode
-//! a dedicated log-writer thread serializes the pending tail once per
-//! device operation and every commit that arrived while the device was
-//! busy rides the next force — so under concurrency
-//! `forces < commits`. With group commit off, every committer pays a
-//! full device operation of its own (`forces == commits`), which is
-//! the baseline the `exp.gc` experiment compares against.
+//! a device operation with configurable latency. There is no log-writer
+//! thread: a committer appends its commit record and calls
+//! [`GroupWal::wait_durable`]. The first waiter that finds no force in
+//! flight becomes the *leader* — it dwells for the group window,
+//! serializes the whole pending tail in one device operation, advances
+//! the durable cursor and wakes everyone waiting. Waiters that arrive
+//! while a force is in flight are *followers*: they sleep until the
+//! cursor covers their record, or until the device frees up with their
+//! record still pending, when one of them leads the next batch. Under
+//! concurrency `forces < commits`; a lone committer forces once per
+//! commit.
 //!
-//! Commit acknowledgements wait on a durable cursor that only advances
-//! *after* the device latency has elapsed — a commit is never acked
-//! before its log record is durable.
+//! The durable cursor only advances *after* the device latency has
+//! elapsed — a commit is never acked before its log record is durable.
 
 use mcv_txn::{LogRecord, TxnId};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Process-wide wal-identity allocator: each [`GroupWal`] gets a
-/// distinct id so traces with several concurrent logs (one per shard
-/// in `mcv-dist`) keep their overlapping lsn spaces apart.
 #[derive(Debug)]
 pub(crate) struct GroupWal {
     inner: Mutex<GwInner>,
-    /// Wakes the log-writer thread (group mode).
-    work: Condvar,
-    /// Wakes committers waiting for durability.
+    /// Wakes waiters when a force completes.
     forced: Condvar,
-    group: bool,
     force_latency: Duration,
-    /// How long the writer dwells after the first force request before
-    /// serializing, so committers that are a few microseconds behind
-    /// make this batch instead of the next (the classic group-commit
-    /// timer).
+    /// How long a leader dwells before serializing, so committers that
+    /// are a few microseconds behind make this batch instead of the
+    /// next (the classic group-commit timer). Zero when the force
+    /// itself is free: a dwell would then only delay every commit.
     group_window: Duration,
     /// Causal trace sink captured at engine construction; `None` means
     /// every record call below is a no-op branch.
     trace: Option<Arc<mcv_trace::Recorder>>,
-    /// This log's identity in trace events.
+    /// This log's identity in trace events: traces with several
+    /// concurrent logs (one per shard in `mcv-dist`) keep their
+    /// overlapping lsn spaces apart.
     wal_id: u64,
     /// Mark name (`wal.force.<id>`) under which the latest force's
     /// cause is published, so commit acks cite *this* log's force.
     mark: String,
-    /// Time origin for the force-window atomics below.
+    /// Time origin of [`GwInner::last_force`].
     epoch: Instant,
-    /// Start/end of the most recent device operation, nanoseconds
-    /// since `epoch` (relaxed; published by the writer so timed
-    /// committers can split their wait into batching dwell vs device
-    /// time without taking a lock).
-    force_start_ns: AtomicU64,
-    force_end_ns: AtomicU64,
 }
 
 #[derive(Debug, Default)]
 struct GwInner {
     log: mcv_txn::ForcedWal,
-    /// Highest LSN some committer asked to have forced.
-    requested: usize,
     /// Records that are durable (serialized *and* past device latency).
     durable: usize,
-    /// A device operation is in flight (serializes forces in
-    /// per-commit mode).
+    /// A leader is dwelling or forcing; later waiters follow.
     forcing: bool,
-    shutdown: bool,
+    /// Start and end of the latest completed device operation, in
+    /// nanoseconds since `epoch`, so a waiter can split its wait into
+    /// batching dwell vs device time.
+    last_force: (u64, u64),
     /// Commit records appended.
     commits: u64,
     /// Device operations performed.
@@ -73,7 +65,6 @@ struct GwInner {
 
 impl GroupWal {
     pub(crate) fn new(
-        group: bool,
         force_latency: Duration,
         group_window: Duration,
         trace: Option<Arc<mcv_trace::Recorder>>,
@@ -81,22 +72,17 @@ impl GroupWal {
         let wal_id = trace.as_ref().map(|t| t.next_wal_id()).unwrap_or(0);
         GroupWal {
             inner: Mutex::new(GwInner::default()),
-            work: Condvar::new(),
             forced: Condvar::new(),
-            group,
             force_latency,
-            group_window,
+            group_window: if force_latency.is_zero() { Duration::ZERO } else { group_window },
             trace,
             wal_id,
             mark: format!("wal.force.{wal_id}"),
             epoch: Instant::now(),
-            force_start_ns: AtomicU64::new(0),
-            force_end_ns: AtomicU64::new(0),
         }
     }
 
-    /// Nanoseconds since this log's construction (the force-window
-    /// time base).
+    /// Nanoseconds since this log's construction.
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -156,10 +142,8 @@ impl GroupWal {
     }
 
     /// Appends `txn`'s commit record *without* waiting for durability
-    /// and returns its log sequence number. Pairs with
-    /// [`GroupWal::wait_durable`]: a staged-commit batch appends every
-    /// record first, then pays one durability wait covering the highest
-    /// LSN — the group-commit dwell lifted up to the caller.
+    /// and returns its log sequence number; [`GroupWal::wait_durable`]
+    /// on that LSN (or any higher one) completes the commit.
     pub(crate) fn append_commit(&self, txn: TxnId) -> usize {
         let mut g = self.inner.lock().expect("wal mutex");
         let lsn = g.log.append(LogRecord::Commit { txn });
@@ -169,172 +153,54 @@ impl GroupWal {
         lsn
     }
 
-    /// Blocks until every record up to `upto` is durable. In group mode
-    /// one force request covers the whole staged tail; in per-commit
-    /// mode the caller pays device operations until the cursor catches
-    /// up (typically one covering everything staged so far).
-    pub(crate) fn wait_durable(&self, upto: usize) {
+    /// Blocks until every record up to `upto` is durable, leading a
+    /// group force whenever none is in flight. Returns how the wait
+    /// split into `(dwell_ns, force_ns)`: `force_ns` overlapped the
+    /// device operation that made `upto` durable, `dwell_ns` is the
+    /// rest (leader dwell, queueing behind an earlier force).
+    pub(crate) fn wait_durable(&self, upto: usize) -> (u64, u64) {
+        let t0 = self.now_ns();
         let mut g = self.inner.lock().expect("wal mutex");
-        if self.group {
-            g.requested = g.requested.max(upto);
-            self.work.notify_one();
-            while g.durable < upto && !g.shutdown {
-                g = self.forced.wait(g).expect("wal mutex");
-            }
-        } else {
-            loop {
-                if g.durable >= upto || g.shutdown {
-                    return;
-                }
-                if g.forcing {
-                    g = self.forced.wait(g).expect("wal mutex");
-                    continue;
-                }
-                g.forcing = true;
-                g.log.force();
-                let target = g.log.forced_records();
-                g.forces += 1;
-                drop(g);
-                self.sleep_device();
-                // Recorded before the durable cursor moves, so the
-                // force always precedes the acks it enables.
-                self.trace_force(target);
-                g = self.inner.lock().expect("wal mutex");
-                g.durable = g.durable.max(target);
-                g.forcing = false;
-                self.forced.notify_all();
-            }
+        while g.durable < upto {
+            g = if g.forcing { self.forced.wait(g).expect("wal mutex") } else { self.lead(g) };
         }
+        let (fs, fe) = g.last_force;
+        drop(g);
+        let t1 = self.now_ns();
+        let total = t1.saturating_sub(t0);
+        let force = fe.min(t1).saturating_sub(fs.max(t0)).min(total);
+        (total - force, force)
     }
 
-    /// Appends `txn`'s commit record and blocks until it is durable.
-    pub(crate) fn append_commit_and_wait(&self, txn: TxnId) {
-        self.commit_and_wait(txn, false);
-    }
-
-    /// Like [`GroupWal::append_commit_and_wait`], but also measures how
-    /// the durability wait splits into `(dwell_ns, force_ns)`: batching
-    /// dwell (waiting for a device operation to start / queueing for
-    /// the device) vs the device operation that covered this record.
-    pub(crate) fn append_commit_and_wait_timed(&self, txn: TxnId) -> (u64, u64) {
-        self.commit_and_wait(txn, true)
-    }
-
-    fn commit_and_wait(&self, txn: TxnId, timed: bool) -> (u64, u64) {
-        let mut g = self.inner.lock().expect("wal mutex");
-        let lsn = g.log.append(LogRecord::Commit { txn });
-        g.commits += 1;
-        if self.trace.is_some() {
+    /// One group force: dwell, serialize the whole pending tail, pay
+    /// the device latency with the mutex free (so new records queue for
+    /// the next batch), then publish the force and advance the durable
+    /// cursor. Entered and left holding the mutex.
+    fn lead<'a>(&'a self, mut g: MutexGuard<'a, GwInner>) -> MutexGuard<'a, GwInner> {
+        g.forcing = true;
+        if !self.group_window.is_zero() {
             drop(g);
-            self.trace_append(&LogRecord::Commit { txn }, lsn);
+            std::thread::sleep(self.group_window);
             g = self.inner.lock().expect("wal mutex");
         }
-        if self.group {
-            let t0 = if timed { self.now_ns() } else { 0 };
-            g.requested = g.requested.max(lsn);
-            self.work.notify_one();
-            while g.durable < lsn && !g.shutdown {
-                g = self.forced.wait(g).expect("wal mutex");
-            }
-            if !timed {
-                return (0, 0);
-            }
-            let t1 = self.now_ns();
-            let total = t1.saturating_sub(t0);
-            // Overlap of our wait with the force window the writer
-            // published. If a new operation already started (start >
-            // end), it is still in flight and bounded by our ack time.
-            let fs = self.force_start_ns.load(Ordering::Relaxed);
-            let fe = self.force_end_ns.load(Ordering::Relaxed);
-            let (ws, we) = if fe >= fs { (fs, fe) } else { (fs, t1) };
-            let force = we.min(t1).saturating_sub(ws.max(t0)).min(total);
-            (total - force, force)
-        } else {
-            // Per-commit force: this committer always pays one full
-            // device operation, even if a concurrent force already
-            // covered its record (an fsync per commit is the point of
-            // the baseline).
-            let t0 = if timed { self.now_ns() } else { 0 };
-            while g.forcing {
-                g = self.forced.wait(g).expect("wal mutex");
-            }
-            let t1 = if timed { self.now_ns() } else { 0 };
-            g.forcing = true;
-            g.log.force();
-            let target = g.log.forced_records();
-            g.forces += 1;
-            drop(g);
-            self.sleep_device();
-            // Recorded before the durable cursor moves, so the force
-            // always precedes the ack it enables in the trace.
-            self.trace_force(target);
-            let mut g = self.inner.lock().expect("wal mutex");
-            g.durable = g.durable.max(target);
-            g.forcing = false;
-            self.forced.notify_all();
-            if timed {
-                (t1 - t0, self.now_ns().saturating_sub(t1))
-            } else {
-                (0, 0)
-            }
-        }
-    }
-
-    /// The log-writer loop (group mode). Runs until shutdown; each
-    /// iteration serializes the entire pending tail in one device
-    /// operation, so commits queued during the previous operation's
-    /// latency are batched.
-    pub(crate) fn writer_loop(&self) {
-        loop {
-            {
-                let mut g = self.inner.lock().expect("wal mutex");
-                while !g.shutdown && g.requested <= g.log.forced_records() {
-                    g = self.work.wait(g).expect("wal mutex");
-                }
-                if g.shutdown && g.requested <= g.log.forced_records() {
-                    return;
-                }
-                if !self.group_window.is_zero() {
-                    // Dwell with the mutex free so near-simultaneous
-                    // committers land in this batch, then serialize.
-                    drop(g);
-                    std::thread::sleep(self.group_window);
-                    g = self.inner.lock().expect("wal mutex");
-                }
-                g.log.force();
-                g.forces += 1;
-            }
-            // Device busy: latency elapses with the mutex free, so new
-            // commit records accumulate for the next batch.
-            self.force_start_ns.store(self.now_ns(), Ordering::Relaxed);
-            self.sleep_device();
-            self.force_end_ns.store(self.now_ns(), Ordering::Relaxed);
-            let mut g = self.inner.lock().expect("wal mutex");
-            let target = g.log.forced_records();
-            if self.trace.is_some() {
-                // Recorded before the durable cursor moves, so the
-                // force always precedes the acks it enables.
-                drop(g);
-                self.trace_force(target);
-                g = self.inner.lock().expect("wal mutex");
-            }
-            g.durable = g.durable.max(target);
-            self.forced.notify_all();
-        }
-    }
-
-    fn sleep_device(&self) {
+        g.log.force();
+        g.forces += 1;
+        let target = g.log.forced_records();
+        drop(g);
+        let start = self.now_ns();
         if !self.force_latency.is_zero() {
             std::thread::sleep(self.force_latency);
         }
-    }
-
-    /// Stops the writer thread and releases any waiting committers.
-    pub(crate) fn shutdown(&self) {
+        let end = self.now_ns();
+        // Recorded before the durable cursor moves, so the force always
+        // precedes the acks it enables.
+        self.trace_force(target);
         let mut g = self.inner.lock().expect("wal mutex");
-        g.shutdown = true;
-        self.work.notify_all();
+        g.durable = target;
+        g.last_force = (start, end);
+        g.forcing = false;
         self.forced.notify_all();
+        g
     }
 
     /// The bytes a crash at this instant would leave on disk.
@@ -361,42 +227,34 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    fn commit(wal: &GroupWal, t: u64) {
+        wal.append(LogRecord::Update { txn: TxnId(t), item: "X".into(), old: 0, new: t as i64 });
+        let lsn = wal.append_commit(TxnId(t));
+        wal.wait_durable(lsn);
+    }
+
     #[test]
-    fn per_commit_mode_forces_once_per_commit() {
-        let wal = GroupWal::new(false, Duration::ZERO, Duration::ZERO, None);
+    fn lone_committer_forces_once_per_commit() {
+        // The 1 s window is ignored: with a free force, a dwell could
+        // only delay each commit.
+        let wal = GroupWal::new(Duration::ZERO, Duration::from_secs(1), None);
+        let t0 = Instant::now();
         for t in 1..=5 {
-            wal.append(LogRecord::Update {
-                txn: TxnId(t),
-                item: "X".into(),
-                old: 0,
-                new: t as i64,
-            });
-            wal.append_commit_and_wait(TxnId(t));
+            commit(&wal, t);
         }
+        assert!(t0.elapsed() < Duration::from_secs(1), "leader dwelled on a free force");
         let (commits, forces, _) = wal.stats();
         assert_eq!(commits, 5);
         assert_eq!(forces, 5);
     }
 
     #[test]
-    fn group_mode_batches_concurrent_commits() {
-        let wal = Arc::new(GroupWal::new(true, Duration::from_millis(2), Duration::ZERO, None));
-        let writer = {
-            let wal = Arc::clone(&wal);
-            std::thread::spawn(move || wal.writer_loop())
-        };
+    fn concurrent_committers_share_forces() {
+        let wal = Arc::new(GroupWal::new(Duration::from_millis(2), Duration::ZERO, None));
         let committers: Vec<_> = (1..=8)
             .map(|t| {
                 let wal = Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    wal.append(LogRecord::Update {
-                        txn: TxnId(t),
-                        item: "X".into(),
-                        old: 0,
-                        new: t as i64,
-                    });
-                    wal.append_commit_and_wait(TxnId(t));
-                })
+                std::thread::spawn(move || commit(&wal, t))
             })
             .collect();
         for c in committers {
@@ -406,10 +264,9 @@ mod tests {
         assert_eq!(commits, 8);
         assert!(forces >= 1, "at least one device op");
         assert!(forces < commits, "group commit must batch: {forces} forces / {commits} commits");
-        // Every committer was acked only after its record became durable.
+        // Every committer returned only after its records became durable.
         let crash = mcv_txn::Wal::from_bytes_lossy(&wal.durable_image());
+        assert_eq!(crash.len(), 16, "every update and commit record is durable");
         assert_eq!(crash.committed().len(), 8);
-        wal.shutdown();
-        writer.join().expect("writer");
     }
 }

@@ -11,9 +11,10 @@
 //!   blocking lock acquisition, cross-shard deadlock detection
 //!   (youngest-victim policy shared with [`mcv_txn::LockManager`]),
 //!   and undo/redo write-ahead logging;
-//! - group-commit WAL — a dedicated log-writer thread batches commit
-//!   forces so concurrent commits share device operations
-//!   (`engine.wal.forces < engine.wal.commits`);
+//! - group-commit WAL — leader/follower: the first committer to find
+//!   the log device idle forces the whole pending tail, and commits
+//!   arriving meanwhile ride the next force, so concurrent commits
+//!   share device operations (`engine.wal.forces < engine.wal.commits`);
 //! - [`Pool`] — bounded worker pool with blocking backpressure
 //!   (`submit`) and a non-blocking admission path (`try_submit`) that
 //!   sheds with a typed [`Shed`] error when the queue is full;

@@ -393,7 +393,7 @@ mod tests {
 
     fn mvcc_cfg(isolation: IsolationLevel, workload: WorkloadKind, seed: u64) -> DriverConfig {
         DriverConfig {
-            engine: EngineConfig { isolation, group_commit: true, ..Default::default() },
+            engine: EngineConfig { isolation, ..Default::default() },
             clients: 4,
             txns: 200,
             items: 64,
@@ -427,7 +427,6 @@ mod tests {
         let cfg = DriverConfig {
             engine: EngineConfig {
                 isolation: IsolationLevel::SerializableSsi,
-                group_commit: true,
                 ..Default::default()
             },
             clients: 4,
@@ -449,7 +448,7 @@ mod tests {
             IsolationLevel::SerializableSsi,
         ] {
             let cfg = DriverConfig {
-                engine: EngineConfig { isolation, group_commit: false, ..Default::default() },
+                engine: EngineConfig { isolation, ..Default::default() },
                 clients: 3,
                 txns: 60,
                 items: 8,
@@ -465,7 +464,7 @@ mod tests {
     #[test]
     fn uniform_read_write_run_passes_oracles() {
         let cfg = DriverConfig {
-            engine: EngineConfig { group_commit: true, ..Default::default() },
+            engine: EngineConfig::default(),
             clients: 4,
             txns: 200,
             items: 64,
@@ -482,7 +481,7 @@ mod tests {
     #[test]
     fn bank_transfer_run_preserves_total_balance() {
         let cfg = DriverConfig {
-            engine: EngineConfig { group_commit: true, ..Default::default() },
+            engine: EngineConfig::default(),
             clients: 4,
             txns: 150,
             items: 16,
@@ -498,7 +497,7 @@ mod tests {
     #[test]
     fn zipfian_contended_run_stays_serializable() {
         let cfg = DriverConfig {
-            engine: EngineConfig { shards: 4, group_commit: true, ..Default::default() },
+            engine: EngineConfig { shards: 4, ..Default::default() },
             clients: 4,
             txns: 150,
             items: 8,

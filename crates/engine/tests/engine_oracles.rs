@@ -42,7 +42,7 @@ proptest! {
     ) {
         let mix = if zipf { Mix::Zipfian { theta: 0.9 } } else { Mix::Uniform };
         let cfg = DriverConfig {
-            engine: EngineConfig { shards, group_commit: true, ..Default::default() },
+            engine: EngineConfig { shards, ..Default::default() },
             clients,
             txns,
             items,
@@ -97,12 +97,8 @@ fn kill_at_random_point_recovers_committed_prefix() {
     const ACCOUNTS: usize = 12;
     const WORKERS: usize = 4;
     for round in 0..5u64 {
-        let engine = Engine::new(EngineConfig {
-            shards: 8,
-            group_commit: true,
-            force_latency_us: 100,
-            ..Default::default()
-        });
+        let engine =
+            Engine::new(EngineConfig { shards: 8, force_latency_us: 100, ..Default::default() });
         // Fund the accounts.
         let mut setup = engine.begin();
         for i in 0..ACCOUNTS {
@@ -183,13 +179,14 @@ fn kill_at_random_point_recovers_committed_prefix() {
     }
 }
 
-/// Group commit must amortize: strictly fewer device operations than
-/// commits when concurrent committers share forces, and a per-commit
-/// baseline must not.
+/// Group commit must amortize: with concurrent committers, followers
+/// ride the leader's force, so strictly fewer device operations than
+/// commits. A lone committer always leads and never has followers, so
+/// it forces exactly once per commit.
 #[test]
-fn group_commit_amortizes_forces_and_baseline_does_not() {
+fn concurrent_commits_share_forces_and_a_lone_committer_does_not() {
     let base = DriverConfig {
-        clients: 4,
+        engine: EngineConfig { force_latency_us: 300, ..Default::default() },
         txns: 120,
         items: 256,
         workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 4 },
@@ -197,10 +194,7 @@ fn group_commit_amortizes_forces_and_baseline_does_not() {
         ..Default::default()
     };
 
-    let grouped = run_driver(&DriverConfig {
-        engine: EngineConfig { group_commit: true, force_latency_us: 300, ..Default::default() },
-        ..base.clone()
-    });
+    let grouped = run_driver(&DriverConfig { clients: 4, ..base.clone() });
     assert!(grouped.oracles_ok());
     assert!(
         grouped.forces < grouped.commits,
@@ -209,15 +203,9 @@ fn group_commit_amortizes_forces_and_baseline_does_not() {
         grouped.commits
     );
 
-    let per_commit = run_driver(&DriverConfig {
-        engine: EngineConfig { group_commit: false, force_latency_us: 300, ..Default::default() },
-        ..base
-    });
-    assert!(per_commit.oracles_ok());
-    assert_eq!(
-        per_commit.forces, per_commit.commits,
-        "baseline must force exactly once per commit"
-    );
+    let lone = run_driver(&DriverConfig { clients: 1, ..base });
+    assert!(lone.oracles_ok());
+    assert_eq!(lone.forces, lone.commits, "a lone committer forces exactly once per commit");
 }
 
 /// Deadlock victims are retried by the driver and never surface as

@@ -967,11 +967,10 @@ mod tests {
 
     #[test]
     fn overload_sheds_instead_of_collapsing() {
-        // Throttle service hard (2ms per force, no group commit) so 4
-        // workers cap out near 2k tps, then offer 10k.
+        // Throttle service hard (2ms per force, queue cap 16) so 4
+        // workers saturate far below the 10k tps offered.
         let mut cfg = quick_cfg();
-        cfg.engine =
-            EngineConfig { group_commit: false, force_latency_us: 2_000, ..Default::default() };
+        cfg.engine = EngineConfig { force_latency_us: 2_000, ..Default::default() };
         cfg.profile.process = ArrivalProcess::Poisson { rate_tps: 10_000.0 };
         cfg.queue_cap = 16;
         cfg.deadline_us = 50_000;
@@ -990,8 +989,7 @@ mod tests {
     #[test]
     fn drop_policy_never_retries_sheds() {
         let mut cfg = quick_cfg();
-        cfg.engine =
-            EngineConfig { group_commit: false, force_latency_us: 2_000, ..Default::default() };
+        cfg.engine = EngineConfig { force_latency_us: 2_000, ..Default::default() };
         cfg.profile.process = ArrivalProcess::Poisson { rate_tps: 8_000.0 };
         cfg.queue_cap = 8;
         cfg.policy = ShedPolicy::Drop;

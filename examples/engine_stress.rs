@@ -16,7 +16,7 @@
 //! `--items N`, `--force-us N` (modeled log-device latency),
 //! `--workload uniform|zipf|readheavy|bank|writeskew`,
 //! `--isolation 2pl|rc|si|ssi`, `--zipf THETA` (skew of the zipfian
-//! workloads), `--no-group-commit`, `--seed N`, `--seed-base N`
+//! workloads), `--seed N`, `--seed-base N`
 //! (campaign seed origin, defaults to `--seed`).
 //!
 //! `--smoke` is the `./ci` gate: a short fixed-seed 4-thread run of
@@ -70,7 +70,6 @@ struct Args {
     workload: &'static str,
     isolation: IsolationLevel,
     zipf_theta: f64,
-    group_commit: bool,
     seed: u64,
     seed_base: Option<u64>,
     smoke: bool,
@@ -89,7 +88,6 @@ impl Default for Args {
             workload: "uniform",
             isolation: IsolationLevel::Serializable2pl,
             zipf_theta: 0.9,
-            group_commit: true,
             seed: 42,
             seed_base: None,
             smoke: false,
@@ -147,7 +145,6 @@ fn parse() -> Result<Args, String> {
             "--seed" => args.seed = next_num(&mut it, "--seed")?,
             "--seed-base" => args.seed_base = Some(next_num(&mut it, "--seed-base")?),
             "--anomalies" => args.anomalies = Some(next_num(&mut it, "--anomalies")?),
-            "--no-group-commit" => args.group_commit = false,
             "--smoke" => args.smoke = true,
             "--mvcc-smoke" => args.mvcc_smoke = true,
             "--isolation" => {
@@ -177,7 +174,7 @@ fn parse() -> Result<Args, String> {
                 return Err("usage: engine_stress [--threads N] [--shards N] [--txns N] \
                             [--items N] [--force-us N] \
                             [--workload uniform|zipf|readheavy|bank|writeskew] \
-                            [--isolation 2pl|rc|si|ssi] [--zipf THETA] [--no-group-commit] \
+                            [--isolation 2pl|rc|si|ssi] [--zipf THETA] \
                             [--seed N] [--seed-base N] [--smoke] [--mvcc-smoke] [--anomalies N]"
                     .to_owned())
             }
@@ -191,9 +188,8 @@ fn config(args: &Args) -> DriverConfig {
     DriverConfig {
         engine: EngineConfig {
             shards: args.shards,
-            group_commit: args.group_commit,
             force_latency_us: args.force_us,
-            group_window_us: if args.group_commit { 50 } else { 0 },
+            group_window_us: 50,
             isolation: args.isolation,
             ..Default::default()
         },
@@ -209,14 +205,8 @@ fn run_once(args: &Args) -> ExitCode {
     let cfg = config(args);
     println!(
         "engine_stress: {} threads, {} shards, {} txns, {} items, {} us force, \
-         group commit {}, isolation {}",
-        args.threads,
-        args.shards,
-        args.txns,
-        args.items,
-        args.force_us,
-        args.group_commit,
-        args.isolation,
+         isolation {}",
+        args.threads, args.shards, args.txns, args.items, args.force_us, args.isolation,
     );
     // Flight recorder: the run records causal events into a bounded
     // ring; on oracle failure the last-N window is dumped for triage.
@@ -372,7 +362,6 @@ fn anomaly_run(
     let cfg = DriverConfig {
         engine: EngineConfig {
             shards: 4,
-            group_commit: false,
             // A modeled force latency stretches every commit, widening
             // the window in which concurrent transactions snapshot
             // before this one's versions install — which is exactly

@@ -293,11 +293,7 @@ fn smoke(base_seed: u64) -> ExitCode {
             session_theta: 0.8,
             seed: base_seed + 1,
         },
-        engine: mcv::engine::EngineConfig {
-            group_commit: false,
-            force_latency_us: 2_000,
-            ..Default::default()
-        },
+        engine: mcv::engine::EngineConfig { force_latency_us: 2_000, ..Default::default() },
         queue_cap: 16,
         ..Default::default()
     });

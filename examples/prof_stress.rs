@@ -166,7 +166,6 @@ fn smoke(args: &Args) -> ExitCode {
         mcv::engine::run_driver(&mcv::engine::DriverConfig {
             engine: mcv::engine::EngineConfig {
                 shards: 8,
-                group_commit: true,
                 force_latency_us: 300,
                 group_window_us: 50,
                 ..Default::default()

@@ -20,12 +20,13 @@ fn traced_chaos(seed: u64) -> CausalTrace {
     trace
 }
 
-/// A deterministic single-threaded engine trace: per-commit forcing
-/// (no writer thread) and all transactions issued from this thread, so
-/// event order is a pure function of the workload.
-fn traced_engine() -> CausalTrace {
+/// A deterministic single-threaded engine trace: the engine owns no
+/// threads and every transaction is issued from this one, which leads
+/// each commit's force itself, so event order is a pure function of
+/// the workload.
+fn traced_engine(cfg: EngineConfig) -> CausalTrace {
     let (_, mut trace) = mcv::trace::record_trace(None, || {
-        let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+        let engine = Engine::new(cfg);
         for i in 0..5i64 {
             let mut t = engine.begin();
             t.write("X", i).expect("write");
@@ -50,15 +51,19 @@ fn same_seed_chaos_runs_record_byte_identical_traces() {
 
 #[test]
 fn same_workload_engine_runs_record_byte_identical_traces() {
-    let a = traced_engine();
-    let b = traced_engine();
-    assert!(!a.is_empty());
-    assert_eq!(a.to_jsonl(), b.to_jsonl());
+    for cfg in
+        [EngineConfig::default(), EngineConfig { force_latency_us: 100, ..Default::default() }]
+    {
+        let a = traced_engine(cfg.clone());
+        let b = traced_engine(cfg);
+        assert!(!a.is_empty());
+        assert_eq!(a.to_jsonl(), b.to_jsonl());
+    }
 }
 
 #[test]
 fn mutated_ack_before_force_is_rejected() {
-    let mut t = traced_engine();
+    let mut t = traced_engine(EngineConfig::default());
     assert!(check(&t).ok(), "{}", check(&t).summary());
     // Shrink every force's coverage to 0 records: commit acks now cite
     // forces that never covered their commit records.
