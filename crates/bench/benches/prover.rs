@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcv_blocks::{properties, SpecLibrary};
-use mcv_logic::{formula, NamedFormula, Prover};
+use mcv_logic::{formula, Formula, NamedFormula, Prover};
+use std::collections::HashSet;
 
 fn bench_chapter5_proofs(c: &mut Criterion) {
     let lib = SpecLibrary::load();
@@ -18,6 +19,47 @@ fn bench_chapter5_proofs(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+}
+
+fn bench_audit(c: &mut Criterion) {
+    // The consistency audit's prover work, less the one pair
+    // (VOTING FailureTriggersElection/LowestOperationalWins) whose
+    // search only ends at the 5 s budget: timing it measures the clock.
+    let lib = SpecLibrary::load();
+    let prover = properties::audit_prover();
+    let mut seen = HashSet::new();
+    let mut distinct = Vec::new();
+    let mut heaviest = Vec::new();
+    for spec in lib.all() {
+        let own: Vec<_> = spec.axioms().collect();
+        for (i, a) in own.iter().enumerate() {
+            for b in own.iter().skip(i + 1) {
+                let names = (spec.name.as_str(), a.name.as_str(), b.name.as_str());
+                let axioms = vec![
+                    NamedFormula::new(a.name.to_string(), a.formula.clone()),
+                    NamedFormula::new(b.name.to_string(), b.formula.clone()),
+                ];
+                if names == ("CHECKPOINTING", "Valibroad", "Checkpoint") {
+                    heaviest = axioms.clone();
+                }
+                let budget_bound =
+                    (names.1, names.2) == ("FailureTriggersElection", "LowestOperationalWins");
+                if !budget_bound && seen.insert((&a.formula, &b.formula)) {
+                    distinct.push(axioms);
+                }
+            }
+        }
+    }
+    let mut group = c.benchmark_group("audit");
+    group.sample_size(10);
+    // The heaviest pair the budget does not bound (weight-bounded).
+    group.bench_function("pair/CHECKPOINTING-Valibroad-Checkpoint", |b| {
+        b.iter(|| prover.prove(&heaviest, &Formula::False))
+    });
+    group.bench_function(BenchmarkId::new("distinct_pairs", distinct.len()), |b| {
+        b.iter(|| distinct.iter().filter(|p| prover.prove(p, &Formula::False).is_proved()).count())
+    });
     group.finish();
 }
 
@@ -98,6 +140,7 @@ fn bench_clausification(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_chapter5_proofs,
+    bench_audit,
     bench_implication_chains,
     bench_ablations,
     bench_clausification

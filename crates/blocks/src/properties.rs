@@ -6,6 +6,7 @@
 use crate::specs::SpecLibrary;
 use mcv_core::SpecRef;
 use mcv_logic::{Formula, NamedFormula, ProofResult, Prover, ProverConfig, Sym};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// One `prove … using …` command from Chapter 5.
@@ -165,6 +166,17 @@ pub fn satisfiability_certificate(
     mcv_logic::find_model(&axioms, &mcv_logic::ModelConfig::default())
 }
 
+/// The prover [`consistency_audit`] refutes each axiom pair with: small
+/// limits, since most pairs saturate within a few clauses.
+pub fn audit_prover() -> Prover {
+    Prover::with_config(ProverConfig {
+        max_clauses: 20_000,
+        max_weight: 60,
+        timeout: Duration::from_secs(5),
+        ..ProverConfig::default()
+    })
+}
+
 /// A pair of axioms found to be jointly contradictory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContradictoryPair {
@@ -182,22 +194,24 @@ pub struct ContradictoryPair {
 /// SNARK's per-proof use because each `using` clause selects a subset;
 /// the audit makes the latent inconsistencies visible.
 pub fn consistency_audit(lib: &SpecLibrary) -> Vec<ContradictoryPair> {
-    let prover = Prover::with_config(ProverConfig {
-        max_clauses: 20_000,
-        max_weight: 60,
-        timeout: Duration::from_secs(5),
-        ..ProverConfig::default()
-    });
+    let prover = audit_prover();
     let mut out = Vec::new();
+    // Imported axioms recur in every downstream spec, and the search
+    // depends on the formulas alone: prove each distinct pair once.
+    let mut verdicts: HashMap<(&Formula, &Formula), bool> = HashMap::new();
     for spec in lib.all() {
         let own: Vec<_> = spec.axioms().collect();
         for (i, a) in own.iter().enumerate() {
             for b in own.iter().skip(i + 1) {
-                let axioms = vec![
-                    NamedFormula::new(a.name.to_string(), a.formula.clone()),
-                    NamedFormula::new(b.name.to_string(), b.formula.clone()),
-                ];
-                if prover.prove(&axioms, &Formula::False).is_proved() {
+                let contradictory =
+                    *verdicts.entry((&a.formula, &b.formula)).or_insert_with(|| {
+                        let axioms = vec![
+                            NamedFormula::new(a.name.to_string(), a.formula.clone()),
+                            NamedFormula::new(b.name.to_string(), b.formula.clone()),
+                        ];
+                        prover.prove(&axioms, &Formula::False).is_proved()
+                    });
+                if contradictory {
                     let pair = ContradictoryPair {
                         spec: spec.name.to_string(),
                         a: a.name.to_string(),
@@ -279,6 +293,81 @@ mod tests {
                 || (p.a == "Constateinfo" && p.b == "inconsistent")),
             "{pairs:?}"
         );
+    }
+
+    /// Search counters of a result: (generated, kept, subsumed, iterations).
+    fn search(result: &ProofResult) -> [u64; 4] {
+        let stats = &result.proof().expect("proved").stats;
+        ["generated", "kept", "subsumed", "iterations"]
+            .map(|c| stats.counter(&format!("prover.{c}")))
+    }
+
+    #[test]
+    fn chapter5_search_is_pinned() {
+        // The given-clause loop is deterministic: these figures change
+        // only if the search itself does. A speed-up must leave them be.
+        let lib = SpecLibrary::load();
+        let replays = replay_all(&lib);
+        let got: Vec<_> = replays.iter().map(|o| search(&o.result)).collect();
+        assert_eq!(got, [[195, 24, 19, 24], [13, 0, 0, 3], [1046, 100, 61, 55]]);
+
+        // Two of the heaviest audit pairs the clock does not bound: one
+        // cut off by clause weight, one that saturates.
+        let pair = |spec: &str, a: &str, b: &str| {
+            let spec = spec_by_name(&lib, spec);
+            let axioms: Vec<_> = [a, b]
+                .iter()
+                .map(|n| {
+                    let p = spec.property(&Sym::new(*n)).expect("axiom present");
+                    NamedFormula::new(*n, p.formula.clone())
+                })
+                .collect();
+            audit_prover().prove(&axioms, &Formula::False)
+        };
+        let valibroad = pair("CHECKPOINTING", "Valibroad", "Checkpoint");
+        assert!(matches!(valibroad, ProofResult::ResourceOut { generated: 641 }), "{valibroad:?}");
+        let checkpoint = pair("ROLLBACKRECOVERY", "Checkpoint", "Recover");
+        assert!(matches!(checkpoint, ProofResult::Saturated { generated: 482 }), "{checkpoint:?}");
+
+        let audit: Vec<_> =
+            consistency_audit(&lib).into_iter().map(|p| (p.spec, p.a, p.b)).collect();
+        let want = [
+            ("RELIABLEBROADCAST", "Broadcast", "Deliver"),
+            ("CONSENSUS", "Proposal", "Decision"),
+            ("UNDOREDO", "Undo", "Redo"),
+            ("TWOPHASELOCK", "Read", "Write"),
+            ("TWOPHASELOCK", "Locking", "Unlock"),
+            ("SNAPSHOT", "sending", "reception"),
+            ("MVCCSNAPSHOT", "Broadcast", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Deliver", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Termbroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Valibroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Agreebroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Proposal", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Decision", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Valiconsensus", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Agreeconsensus", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "sending", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "reception", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "record", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Globprocstateinfo", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Installrecords", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Snapshotvisibility", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Firstcommitterwins", "Gcwatermark"),
+            ("DECISIONMAKING", "next", "adjacent"),
+            ("DECISIONMAKING", "next", "Constateinfo"),
+            ("DECISIONMAKING", "adjacent", "inconsistent"),
+            ("DECISIONMAKING", "inconsistent", "Constateinfo"),
+            ("CHECKPOINTING", "receive", "send"),
+            ("CHECKPOINTING", "send", "log"),
+            ("CHECKPOINTING", "Ckpt", "ckpt"),
+            ("CHECKPOINTING", "Store", "store"),
+            ("CHECKPOINTING", "Pi", "PI"),
+            ("ROLLBACKRECOVERY", "Rollback", "Restore"),
+            ("ROLLBACKRECOVERY", "rollback", "restore"),
+        ]
+        .map(|(s, a, b)| (s.to_owned(), a.to_owned(), b.to_owned()));
+        assert_eq!(audit, want);
     }
 
     #[test]

@@ -314,6 +314,13 @@ impl Prover {
             processed.push(given_idx);
 
             for (c, rule) in new_clauses {
+                // One given clause can yield hundreds of resolvents, each
+                // checked against every kept clause: honour the budget
+                // per clause, not only per given clause.
+                if start.elapsed() > self.config.timeout {
+                    let generated = stats.flush(start).counter("prover.generated") as usize;
+                    return ProofResult::ResourceOut { generated };
+                }
                 stats.generated += 1;
                 if c.is_empty() {
                     let idx = steps.len();
@@ -414,13 +421,21 @@ fn finish(steps: Vec<Step>, empty_idx: usize, stats: MetricsSnapshot) -> Proof {
 }
 
 /// All binary resolvents of two clauses (variables renamed apart).
+///
+/// When no literal pair can clash there is nothing to resolve: both
+/// renamings are skipped and `fresh` only advances past the names they
+/// would have drawn, so every later name is unchanged.
 fn resolvents(a: &Clause, b: &Clause, fresh: &mut FreshVars, attempts: &mut u64) -> Vec<Clause> {
+    if !a.literals.iter().any(|la| b.literals.iter().any(|lb| la.may_clash(lb))) {
+        fresh.skip(a.distinct_vars().len() + b.distinct_vars().len());
+        return Vec::new();
+    }
     let a = a.rename_apart(fresh);
     let b = b.rename_apart(fresh);
     let mut out = Vec::new();
     for (i, la) in a.literals.iter().enumerate() {
         for (j, lb) in b.literals.iter().enumerate() {
-            if la.positive == lb.positive || la.pred != lb.pred || la.args.len() != lb.args.len() {
+            if !la.may_clash(lb) {
                 continue;
             }
             *attempts += 1;
@@ -559,6 +574,45 @@ mod tests {
         assert!(matches!(res, ProofResult::ResourceOut { .. } | ProofResult::Saturated { .. }));
     }
 
+    /// Runs `goal` under a 500 ms budget: the search must give up, and
+    /// within 650 ms.
+    fn assert_budget_honoured(axioms: &[NamedFormula], goal: &Formula) {
+        let cfg = ProverConfig { timeout: Duration::from_millis(500), ..ProverConfig::default() };
+        let start = Instant::now();
+        let res = Prover::with_config(cfg).prove(axioms, goal);
+        let took = start.elapsed();
+        assert!(matches!(res, ProofResult::ResourceOut { .. }), "{res:?}");
+        assert!(took < Duration::from_millis(650), "500 ms budget took {took:?}");
+    }
+
+    #[test]
+    fn timeout_is_honoured_on_the_voting_election_pair() {
+        // VOTING's FailureTriggersElection (Skolemised) and
+        // LowestOperationalWins: the audit's one infinite search, whose
+        // later given clauses each run for hundreds of milliseconds.
+        let axioms = [
+            "fa(c, T) (IsCoordinator(c, T) & FailedSite(c, T) => Operational(sk_b(c, T), T))",
+            "fa(c, T) (IsCoordinator(c, T) & FailedSite(c, T) => ElectBackup(sk_b(c, T), T))",
+            "fa(a, b, T) (ElectBackup(a, T) & ElectBackup(b, T) & LowerId(a, b) => IsCoordinator(a, T))",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, src)| ax(&format!("voting{i}"), src))
+        .collect::<Vec<_>>();
+        assert_budget_honoured(&axioms, &Formula::False);
+    }
+
+    #[test]
+    fn timeout_is_honoured_within_one_wide_iteration() {
+        // The first given clause ~P(x) | R(x) resolves with every fact
+        // P(ci), and each of its thousands of resolvents R(ci) is checked
+        // for subsumption against thousands of kept clauses: a single
+        // iteration far longer than the budget.
+        let axioms: Vec<_> =
+            (0..5000).map(|i| ax(&format!("f{i}"), &format!("P(c{i}())"))).collect();
+        assert_budget_honoured(&axioms, &formula("ex(x) (P(x) & ~R(x))"));
+    }
+
     #[test]
     fn ablations_still_prove_but_search_differently() {
         let axioms = vec![
@@ -625,5 +679,23 @@ mod tests {
         let res = Prover::new().prove(&axioms, &formula("P(c())"));
         let text = res.proof().unwrap().to_string();
         assert!(text.contains("refutation"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn resolvents_draw_the_same_fresh_names_as_renaming_both(
+            a in crate::clause::arb::clause(),
+            b in crate::clause::arb::clause(),
+        ) {
+            let mut resolved = FreshVars::new();
+            resolvents(&a, &b, &mut resolved, &mut 0);
+            let mut renamed = FreshVars::new();
+            a.rename_apart(&mut renamed);
+            b.rename_apart(&mut renamed);
+            let v = crate::term::Var::unsorted("v");
+            assert_eq!(resolved.fresh(&v), renamed.fresh(&v));
+        }
     }
 }

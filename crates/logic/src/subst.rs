@@ -107,6 +107,12 @@ impl FreshVars {
         Var::new(format!("{}_{}", v.name(), self.counter), v.sort().clone())
     }
 
+    /// Advances the generator past `n` names without building them, so
+    /// every later name is the one it would be had `n` been drawn.
+    pub fn skip(&mut self, n: usize) {
+        self.counter += n as u64;
+    }
+
     /// A fresh symbol with the given prefix (used for Skolem functions).
     pub fn fresh_sym(&mut self, prefix: &str) -> Sym {
         self.counter += 1;
@@ -141,5 +147,16 @@ mod tests {
         let a = g.fresh(&v);
         let b = g.fresh(&v);
         assert_ne!(a.name(), b.name());
+    }
+
+    #[test]
+    fn skip_advances_like_drawing() {
+        let v = Var::unsorted("x");
+        let mut drawn = FreshVars::new();
+        drawn.fresh(&v);
+        drawn.fresh(&v);
+        let mut skipped = FreshVars::new();
+        skipped.skip(2);
+        assert_eq!(drawn.fresh(&v), skipped.fresh(&v));
     }
 }

@@ -111,7 +111,9 @@ impl Term {
         out
     }
 
-    fn collect_vars(&self, out: &mut Vec<Var>, seen: &mut BTreeSet<Sym>) {
+    /// Appends the term's variables not yet in `seen` to `out`, in
+    /// first-occurrence order.
+    pub(crate) fn collect_vars(&self, out: &mut Vec<Var>, seen: &mut BTreeSet<Sym>) {
         match self {
             Term::Var(v) => {
                 if seen.insert(v.name().clone()) {
