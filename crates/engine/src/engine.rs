@@ -308,11 +308,14 @@ impl Engine {
 
     /// Snapshot of all items across shards (quiesced inspection).
     pub fn state(&self) -> BTreeMap<Item, Value> {
-        let mut out = BTreeMap::new();
+        let mut all = Vec::new();
         for shard in &self.inner.shards {
-            out.extend(shard.state.lock().expect("shard mutex").data().clone());
+            let g = shard.state.lock().expect("shard mutex");
+            all.extend(g.data().iter().map(|(k, v)| (k.clone(), *v)));
         }
-        out
+        // Shards hold disjoint items; collecting sorts the runs and
+        // builds the map in bulk.
+        all.into_iter().collect()
     }
 
     /// The bytes a crash at this instant would leave on the log
@@ -335,7 +338,8 @@ impl Engine {
     /// preserves conflict-graph edges among that subset — so a cycle
     /// here is a genuine serializability violation.
     pub fn sampled_history(&self) -> History {
-        let committed = self.inner.wal.committed();
+        let sampled = self.inner.sampler.lock().expect("sampler mutex").txns.clone();
+        let committed = self.inner.wal.committed_among(&sampled);
         let s = self.inner.sampler.lock().expect("sampler mutex");
         let mut h = History::new();
         for op in &s.ops {
@@ -1171,5 +1175,31 @@ mod tests {
         let h = engine.sampled_history();
         assert_eq!(h.len(), 1);
         assert_eq!(h.transactions().len(), 1);
+    }
+
+    #[test]
+    fn state_is_the_union_of_every_shards_values() {
+        let engine = Engine::new(EngineConfig { shards: 16, ..EngineConfig::default() });
+        let mut written = BTreeSet::new();
+        for round in 0..3i64 {
+            let mut t = engine.begin();
+            for i in (0..400).step_by(round as usize + 1) {
+                let item = format!("k{i}");
+                t.write(&item, round * 1000 + i as i64).expect("write");
+                written.insert(item);
+            }
+            t.commit().expect("commit");
+        }
+        // Undo restores an aborted write's item to its old value, 0 for
+        // a fresh item, so "never" stays in its shard's map.
+        let mut aborted = engine.begin();
+        for item in ["k0", "never"] {
+            aborted.write(item, -1).expect("write");
+            written.insert(item.to_string());
+        }
+        aborted.abort();
+        let expected: BTreeMap<Item, Value> =
+            written.iter().map(|k| (k.clone(), engine.value(k))).collect();
+        assert_eq!(engine.state(), expected);
     }
 }

@@ -215,6 +215,28 @@ impl GroupWal {
         self.inner.lock().expect("wal mutex").log.wal().committed()
     }
 
+    /// The members of `among` with a commit record appended: one walk
+    /// of the volatile log that keeps only ids in `among`. Ids outside
+    /// `among`'s range are rejected with two comparisons, before the
+    /// set lookup.
+    pub(crate) fn committed_among(&self, among: &BTreeSet<TxnId>) -> BTreeSet<TxnId> {
+        let (Some(lo), Some(hi)) = (among.first(), among.last()) else {
+            return BTreeSet::new();
+        };
+        let g = self.inner.lock().expect("wal mutex");
+        g.log
+            .wal()
+            .records()
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::Commit { txn } if (lo..=hi).contains(&txn) && among.contains(txn) => {
+                    Some(*txn)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     /// `(commit records, device operations, total records)`.
     pub(crate) fn stats(&self) -> (u64, u64, u64) {
         let g = self.inner.lock().expect("wal mutex");
@@ -268,5 +290,18 @@ mod tests {
         let crash = mcv_txn::Wal::from_bytes_lossy(&wal.durable_image());
         assert_eq!(crash.len(), 16, "every update and commit record is durable");
         assert_eq!(crash.committed().len(), 8);
+    }
+
+    #[test]
+    fn committed_among_keeps_only_committed_members() {
+        let wal = GroupWal::new(Duration::ZERO, Duration::ZERO, None);
+        for t in [1, 3, 5, 9] {
+            commit(&wal, t);
+        }
+        wal.append(LogRecord::Abort { txn: TxnId(4) });
+        let among: BTreeSet<TxnId> = [3, 4, 6, 9].into_iter().map(TxnId).collect();
+        let expected: BTreeSet<TxnId> = [3, 9].into_iter().map(TxnId).collect();
+        assert_eq!(wal.committed_among(&among), expected);
+        assert!(wal.committed_among(&BTreeSet::new()).is_empty());
     }
 }
